@@ -1,8 +1,10 @@
 // Micro-benchmarks for the container I/O fast path (DESIGN.md §10) and the
-// async restore data plane (§13): slurp vs footer-index partial reads,
-// fd-cache descriptor reuse, block-cache hits, the CRC-carrying staged copy
-// batched compaction/eviction uses, and sync vs threads vs io_uring batched
-// extent reads (single- and two-stream).
+// restore read path (§13): slurp vs footer-index partial reads, fd-cache
+// descriptor reuse, block-cache hits, the CRC-carrying staged copy batched
+// compaction/eviction uses, and cold-cache fragmented reads from one and
+// two concurrent streams. Every bench that goes through the store reports
+// wall-clock time (UseRealTime): device waits cost no CPU, so CPU-time
+// rates would flatter exactly the reads this file measures.
 // CI runs this with --benchmark_out=BENCH_io.json (artifact "BENCH_io").
 #include <benchmark/benchmark.h>
 
@@ -15,7 +17,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "storage/async_io.h"
 #include "storage/container_store.h"
 
 namespace {
@@ -93,7 +94,7 @@ void BM_FileReadSlurp(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kChunks * kChunkBytes));
 }
-BENCHMARK(BM_FileReadSlurp);
+BENCHMARK(BM_FileReadSlurp)->UseRealTime();
 
 // Footer-index partial read of Arg(0) chunks (caches off): preads exactly
 // header + footer + the coalesced extents.
@@ -108,7 +109,7 @@ void BM_FilePartialRead(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(fps.size() * kChunkBytes));
 }
-BENCHMARK(BM_FilePartialRead)->Arg(1)->Arg(10)->Arg(100);
+BENCHMARK(BM_FilePartialRead)->Arg(1)->Arg(10)->Arg(100)->UseRealTime();
 
 // Same single-chunk partial read with the fd cache disabled: isolates the
 // open/fstat/close pair the cache removes from every read.
@@ -122,7 +123,7 @@ void BM_FilePartialReadNoFdCache(benchmark::State& state) {
     benchmark::DoNotOptimize(fx.store->read_chunks(fx.id, fps));
   }
 }
-BENCHMARK(BM_FilePartialReadNoFdCache);
+BENCHMARK(BM_FilePartialReadNoFdCache)->UseRealTime();
 
 // Block-cache hit: the container is resident after the warm-up read, so
 // the loop measures pure cache lookup + accounting.
@@ -135,7 +136,7 @@ void BM_FileReadBlockCacheHit(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kChunks * kChunkBytes));
 }
-BENCHMARK(BM_FileReadBlockCacheHit);
+BENCHMARK(BM_FileReadBlockCacheHit)->UseRealTime();
 
 // Batched eviction/compaction staging: copying chunks between containers
 // with the already-verified CRC carried over (add_with_crc) vs recomputing
@@ -154,25 +155,14 @@ void BM_StagedCopyKnownCrc(benchmark::State& state) {
 }
 BENCHMARK(BM_StagedCopyKnownCrc);
 
-// Async-backend fragmented read (DESIGN.md §13): the same 100-chunk
-// cold-cache partial read as BM_FilePartialRead/100, executed through each
-// read backend. Arg(0) selects it (0=sync, 1=threads, 2=uring); sync is
-// the pre-§13 sequential-pread baseline the others must beat — the win is
-// submission batching (one io_uring_enter covers a whole extent window
-// where sync pays a pread per extent).
-void BM_AsyncPartialRead(benchmark::State& state) {
-  const auto kind = static_cast<aio::Backend>(state.range(0));
-  if (kind == aio::Backend::kUring && !aio::uring_supported()) {
-    state.SkipWithError("io_uring unsupported on this kernel");
-    return;
-  }
+// Cold-cache fragmented read (DESIGN.md §13): the same 100-chunk partial
+// read as BM_FilePartialRead/100 with the block cache off and the file's
+// pages evicted from the OS page cache before every iteration, so the
+// extent preads queue against the device.
+void BM_ColdPartialRead(benchmark::State& state) {
   FileStoreTuning tuning;
   tuning.block_cache_bytes = 0;
-  tuning.io_backend = kind;
-  StoreFixture fx("hds_micro_io_async", tuning);
-  // Cold cache both ways: block cache off above, OS page cache evicted per
-  // iteration, so the fragmented read queues against the device — the case
-  // where submission batching pipelines instead of serializing latency.
+  StoreFixture fx("hds_micro_io_cold", tuning);
   const PageCacheEvictor evictor(fx.store->container_path(fx.id));
   const auto fps = spread_fps(100);
   for (auto _ : state) {
@@ -181,25 +171,18 @@ void BM_AsyncPartialRead(benchmark::State& state) {
     state.ResumeTiming();
     benchmark::DoNotOptimize(fx.store->read_chunks(fx.id, fps));
   }
-  state.SetLabel(std::string(fx.store->io_backend_name()));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(fps.size() * kChunkBytes));
 }
-BENCHMARK(BM_AsyncPartialRead)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_ColdPartialRead)->UseRealTime();
 
 // Two concurrent restore streams over one shared store, each issuing the
-// fragmented read with its own ReadMeter — the multi-stream overlap the
-// async data plane exists for. Reported throughput counts both streams.
-void BM_AsyncTwoStreamRead(benchmark::State& state) {
-  const auto kind = static_cast<aio::Backend>(state.range(0));
-  if (kind == aio::Backend::kUring && !aio::uring_supported()) {
-    state.SkipWithError("io_uring unsupported on this kernel");
-    return;
-  }
+// cold fragmented read with its own ReadMeter: how far two blocking read
+// loops overlap on the device. Reported throughput counts both streams.
+void BM_ColdTwoStreamRead(benchmark::State& state) {
   FileStoreTuning tuning;
   tuning.block_cache_bytes = 0;
-  tuning.io_backend = kind;
-  StoreFixture fx("hds_micro_io_async2", tuning);
+  StoreFixture fx("hds_micro_io_cold2", tuning);
   const PageCacheEvictor evictor(fx.store->container_path(fx.id));
   const auto fps = spread_fps(100);
   for (auto _ : state) {
@@ -213,11 +196,10 @@ void BM_AsyncTwoStreamRead(benchmark::State& state) {
     benchmark::DoNotOptimize(fx.store->read_chunks(fx.id, fps, &meters[0]));
     other.join();
   }
-  state.SetLabel(std::string(fx.store->io_backend_name()));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
                           static_cast<std::int64_t>(fps.size() * kChunkBytes));
 }
-BENCHMARK(BM_AsyncTwoStreamRead)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_ColdTwoStreamRead)->UseRealTime();
 
 void BM_StagedCopyRecomputedCrc(benchmark::State& state) {
   const auto src = filled_container();

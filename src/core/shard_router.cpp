@@ -1021,11 +1021,6 @@ std::unordered_map<ContainerId, VersionId> ShardRouter::container_tags()
   return merged;
 }
 
-FileContainerStore* ShardRouter::file_store() {
-  if (shards_.size() != 1) return nullptr;
-  return dynamic_cast<FileContainerStore*>(&shards_[0]->archival_store());
-}
-
 const std::vector<ShardRouter::InterleaveRun>* ShardRouter::interleave(
     VersionId version) const {
   const auto it = interleaves_.find(version);
@@ -1073,9 +1068,6 @@ void ShardRouter::refresh_gauges() {
   registry.gauge("dedup_ratio").set(dedup_ratio());
   registry.gauge("versions_retained")
       .set(static_cast<double>(version_count()));
-  if (const auto* backend = shards_[0]->metrics().find_gauge("io_backend")) {
-    registry.gauge("io_backend").set(backend->value());
-  }
   registry.gauge("shards").set(static_cast<double>(shards_.size()));
 }
 

@@ -139,11 +139,6 @@ class ShardRouter {
   [[nodiscard]] std::unordered_map<ContainerId, VersionId> container_tags()
       const;
 
-  // The archival store as a FileContainerStore, single-shard repositories
-  // only — the RestoreTuner's feedback loop reads one store's IoStats and
-  // has no cross-shard story yet. nullptr for multi-shard or in-memory.
-  [[nodiscard]] FileContainerStore* file_store();
-
   // --- Observability ---
   // Single shard: the shard's own registry (bit-identical legacy metrics).
   // Multi shard: a router-owned registry holding cross-shard aggregates

@@ -6,8 +6,8 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <unordered_map>
 #include <utility>
@@ -129,31 +129,58 @@ bool MemoryContainerStore::do_erase(ContainerId id) {
 
 namespace {
 
-// pread(2) exactly [offset, offset + len); throws ReadError on failure or
-// unexpected EOF so callers never decode a partially filled buffer.
-void pread_exact(int fd, std::uint8_t* dst, std::size_t len,
-                 std::uint64_t offset, ContainerId id) {
-  while (len > 0) {
-    const ssize_t n = ::pread(fd, dst, len, static_cast<off_t>(offset));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw ReadError(id, std::string("pread failed: ") +
-                              std::strerror(errno));
-    }
-    if (n == 0) throw ReadError(id, "unexpected EOF");
-    dst += n;
-    len -= static_cast<std::size_t>(n);
-    offset += static_cast<std::uint64_t>(n);
-  }
-}
-
 void log_read_error(const ReadError& err) {
   if (obs::log_enabled(obs::LogLevel::kWarn)) {
     obs::log_warn("container_read_error", {{"error", err.what()}});
   }
 }
 
+// --- Fault injection (process-global, tests only) ---
+
+struct FaultState {
+  std::atomic<std::uint32_t> short_read_every_n{0};
+  std::atomic<std::uint32_t> eintr_every_n{0};
+  std::atomic<std::uint64_t> short_count{0};
+  std::atomic<std::uint64_t> eintr_count{0};
+  std::atomic<bool> armed{false};  // fast path: one relaxed load when off
+};
+FaultState faults;
+
+// True on every `every`-th call counted by `count`; never when every == 0.
+bool every_nth(const std::atomic<std::uint32_t>& every,
+               std::atomic<std::uint64_t>& count) {
+  const std::uint32_t n = every.load(std::memory_order_relaxed);
+  return n != 0 && (count.fetch_add(1, std::memory_order_relaxed) + 1) % n == 0;
+}
+
+// Which fault (if any) an extent's first pread should suffer. Checked once
+// per extent, so every injected fault exercises one retry.
+enum class Fault { kNone, kShort, kEintr };
+
+Fault take_fault() {
+  if (!faults.armed.load(std::memory_order_relaxed)) return Fault::kNone;
+  if (every_nth(faults.short_read_every_n, faults.short_count)) {
+    return Fault::kShort;
+  }
+  if (every_nth(faults.eintr_every_n, faults.eintr_count)) {
+    return Fault::kEintr;
+  }
+  return Fault::kNone;
+}
+
 }  // namespace
+
+void set_fault_plan(const FaultPlan& plan) noexcept {
+  faults.short_read_every_n.store(plan.short_read_every_n,
+                                  std::memory_order_relaxed);
+  faults.eintr_every_n.store(plan.eintr_every_n, std::memory_order_relaxed);
+  faults.short_count.store(0, std::memory_order_relaxed);
+  faults.eintr_count.store(0, std::memory_order_relaxed);
+  faults.armed.store(plan.short_read_every_n != 0 || plan.eintr_every_n != 0,
+                     std::memory_order_relaxed);
+}
+
+void clear_fault_plan() noexcept { set_fault_plan({}); }
 
 FileContainerStore::FileContainerStore(std::filesystem::path dir,
                                        bool index_existing,
@@ -161,40 +188,26 @@ FileContainerStore::FileContainerStore(std::filesystem::path dir,
     : dir_(std::move(dir)),
       tuning_(tuning),
       fd_cache_(tuning.fd_cache_slots),
-      block_cache_(tuning.block_cache_bytes, tuning.block_cache_shards),
-      io_(aio::make_backend(tuning.io_backend, tuning.io_depth)) {
-  fd_cache_.set_direct(tuning.direct_io);
+      block_cache_(tuning.block_cache_bytes, tuning.block_cache_shards) {
   std::filesystem::create_directories(dir_);
   if (!index_existing) return;
   ContainerId max_id = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
-    const auto name = entry.path().filename().string();
-    // container_<id>.hdsc
-    if (name.rfind("container_", 0) != 0 || !entry.is_regular_file()) {
-      continue;
-    }
-    const auto id_str = name.substr(10, name.size() - 10 - 5);
-    char* end = nullptr;
-    const long id = std::strtol(id_str.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || id <= 0) continue;
-    known_[static_cast<ContainerId>(id)] = true;
-    max_id = std::max(max_id, static_cast<ContainerId>(id));
+    if (!entry.is_regular_file()) continue;
+    const auto id = parse_file_name(entry.path().filename().string());
+    if (!id) continue;
+    known_[*id] = true;
+    max_id = std::max(max_id, *id);
   }
   restore_next_id(max_id + 1);
 }
 
 void FileContainerStore::set_tuning(const FileStoreTuning& tuning) {
-  const bool backend_changed = tuning.io_backend != tuning_.io_backend ||
-                               tuning.io_depth != tuning_.io_depth;
   tuning_ = tuning;
   fd_cache_.clear();
   fd_cache_.set_capacity(tuning.fd_cache_slots);
-  fd_cache_.set_direct(tuning.direct_io);
   block_cache_.reconfigure(tuning.block_cache_bytes,
                            tuning.block_cache_shards);
-  if (backend_changed) {
-    io_ = aio::make_backend(tuning.io_backend, tuning.io_depth);
-  }
 }
 
 FileContainerStore::IoPathStats FileContainerStore::io_stats() const {
@@ -208,18 +221,33 @@ FileContainerStore::IoPathStats FileContainerStore::io_stats() const {
   out.block_cache_bytes = block_cache_.bytes();
   out.partial_reads = partial_reads_.load(std::memory_order_relaxed);
   out.read_errors = read_errors_.load(std::memory_order_relaxed);
-  const aio::BackendStats io = io_->stats();
-  out.io_batches = io.batches;
-  out.io_reads = io.reads;
-  out.io_submits = io.submits;
-  out.io_short_retries = io.short_retries;
-  out.io_eintr_retries = io.eintr_retries;
-  out.io_registered_files = io.registered_files;
+  out.short_retries = short_retries_.load(std::memory_order_relaxed);
+  out.eintr_retries = eintr_retries_.load(std::memory_order_relaxed);
   return out;
 }
 
 std::filesystem::path FileContainerStore::path_for(ContainerId id) const {
   return dir_ / ("container_" + std::to_string(id) + ".hdsc");
+}
+
+std::optional<ContainerId> FileContainerStore::parse_file_name(
+    std::string_view name) {
+  constexpr std::string_view kPrefix = "container_";
+  constexpr std::string_view kSuffix = ".hdsc";
+  if (!name.starts_with(kPrefix) || !name.ends_with(kSuffix)) {
+    return std::nullopt;
+  }
+  const std::string_view digits = name.substr(
+      kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
+  ContainerId id = 0;
+  const auto [end, ec] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), id);
+  if (ec != std::errc() || end != digits.data() + digits.size() || id <= 0) {
+    return std::nullopt;
+  }
+  // Exactly the name path_for() produces: no sign, no leading zeros.
+  if (digits != std::to_string(id)) return std::nullopt;
+  return id;
 }
 
 std::vector<ContainerId> FileContainerStore::ids() const {
@@ -236,94 +264,59 @@ void FileContainerStore::do_write(ContainerId id, Container&& container) {
   // path. Throws durable::WriteError on any failure, before the container
   // becomes visible in known_.
   durable::atomic_write_file(path_for(id), container.serialize());
-  // The rename replaced the inode: drop any descriptor, cached image, or
-  // backend fixed-file registration of a previous container under this ID
-  // so later reads see the new content. (Caches are never populated on
-  // write — see BlockCache's policy.)
+  // The rename replaced the inode: drop any descriptor or cached image of a
+  // previous container under this ID so later reads see the new content.
+  // (Caches are never populated on write — see BlockCache's policy.)
   fd_cache_.invalidate(id);
   block_cache_.invalidate(id);
-  io_->invalidate(static_cast<std::uint64_t>(id));
   MutexLock lock(mu_);
   known_[id] = true;
 }
 
-std::uint64_t FileContainerStore::read_extents(const FdCache::Handle& handle,
-                                               ContainerId id,
-                                               std::span<ExtentRead> reads) {
+std::uint64_t FileContainerStore::read_extents(
+    int fd, ContainerId id, std::span<const ExtentRead> reads) {
   if (reads.empty()) return 0;
-  std::vector<aio::ReadOp> ops;
-  ops.reserve(reads.size());
+  // Every device read passes this crash point once: a kFail-armed
+  // CrashInjector fails the whole call with EIO, as a dying device would.
+  try {
+    durable::CrashInjector::crash_point("async_io_read");
+  } catch (const durable::WriteError&) {
+    throw ReadError(id, std::string("read failed: ") + std::strerror(EIO));
+  }
   std::uint64_t physical = 0;
-
-  if (!handle.direct()) {
-    for (const ExtentRead& read : reads) {
-      ops.push_back({handle.fd(), read.offset, read.dst, read.len,
-                     static_cast<std::uint64_t>(id)});
-    }
-    io_->read_batch(ops);
-    for (const aio::ReadOp& op : ops) {
-      if (!op.ok()) {
-        throw ReadError(id, std::string("read failed: ") +
-                                std::strerror(op.error));
-      }
-      // The store always reads ranges its header/footer vouch exist, so a
-      // backend EOF (filled < len, error == 0) means truncation.
-      if (op.filled < op.len) throw ReadError(id, "unexpected EOF");
-      physical += op.filled;
-    }
-    return physical;
-  }
-
-  // O_DIRECT: offset, length and buffer must all be kDirectAlign-aligned.
-  // Each extent widens to its aligned hull inside one shared scratch arena;
-  // completed hulls are memcpy'd back to the callers' buffers. The arena
-  // total stays aligned because every hull is a multiple of the alignment.
-  constexpr std::uint64_t kAlign = FdCache::kDirectAlign;
-  struct Hull {
-    std::uint64_t offset = 0;   // aligned-down file offset
-    std::size_t len = 0;        // aligned-up length
-    std::size_t scratch = 0;    // offset of this hull in the arena
-  };
-  std::vector<Hull> hulls;
-  hulls.reserve(reads.size());
-  std::size_t arena_size = 0;
   for (const ExtentRead& read : reads) {
-    const std::uint64_t begin = read.offset / kAlign * kAlign;
-    const std::uint64_t end =
-        (read.offset + read.len + kAlign - 1) / kAlign * kAlign;
-    hulls.push_back({begin, static_cast<std::size_t>(end - begin),
-                     arena_size});
-    arena_size += static_cast<std::size_t>(end - begin);
-  }
-  struct FreeDeleter {
-    void operator()(void* p) const noexcept { std::free(p); }
-  };
-  std::unique_ptr<std::uint8_t, FreeDeleter> arena(
-      static_cast<std::uint8_t*>(std::aligned_alloc(
-          static_cast<std::size_t>(kAlign), arena_size)));
-  if (arena == nullptr) throw std::bad_alloc();
-  for (const Hull& hull : hulls) {
-    ops.push_back({handle.fd(), hull.offset, arena.get() + hull.scratch,
-                   hull.len, static_cast<std::uint64_t>(id)});
-  }
-  io_->read_batch(ops);
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const aio::ReadOp& op = ops[i];
-    const ExtentRead& read = reads[i];
-    const Hull& hull = hulls[i];
-    if (!op.ok()) {
-      throw ReadError(id, std::string("read failed: ") +
-                              std::strerror(op.error));
+    std::size_t filled = 0;
+    Fault fault = take_fault();
+    while (filled < read.len) {
+      std::size_t want = read.len - filled;
+      if (fault == Fault::kEintr) {
+        fault = Fault::kNone;
+        eintr_retries_.fetch_add(1, std::memory_order_relaxed);
+        continue;  // modeled EINTR: retry without having read anything
+      }
+      if (fault == Fault::kShort && want > 1) {
+        want /= 2;  // force a genuine short read + continuation
+      }
+      const ssize_t n = ::pread(fd, read.dst + filled, want,
+                                static_cast<off_t>(read.offset + filled));
+      if (n < 0) {
+        if (errno == EINTR || errno == EAGAIN) {
+          eintr_retries_.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        throw ReadError(id, std::string("read failed: ") +
+                                std::strerror(errno));
+      }
+      // The store only reads ranges its header/footer (or fstat) vouch
+      // exist, so EOF inside one means truncation.
+      if (n == 0) throw ReadError(id, "unexpected EOF");
+      filled += static_cast<std::size_t>(n);
+      if (fault == Fault::kShort) {
+        fault = Fault::kNone;
+        short_retries_.fetch_add(1, std::memory_order_relaxed);
+      }
     }
-    // An aligned hull may legitimately end past EOF (file tail); the
-    // requested range itself must be fully covered.
-    const std::size_t need =
-        static_cast<std::size_t>(read.offset - hull.offset) + read.len;
-    if (op.filled < need) throw ReadError(id, "unexpected EOF");
-    std::memcpy(read.dst,
-                arena.get() + hull.scratch + (read.offset - hull.offset),
-                read.len);
-    physical += op.filled;
+    physical += filled;
   }
   return physical;
 }
@@ -339,9 +332,9 @@ ContainerStore::ReadResult FileContainerStore::slurp(ContainerId id) {
   io_span.arg("cid", static_cast<std::uint64_t>(id));
   io_span.arg("bytes", static_cast<std::uint64_t>(handle.size()));
   std::vector<std::uint8_t> bytes(handle.size());
-  ExtentRead whole{0, bytes.data(), bytes.size()};
+  const ExtentRead whole{0, bytes.data(), bytes.size()};
   const std::uint64_t physical =
-      read_extents(handle, id, std::span(&whole, 1));
+      read_extents(handle.fd(), id, std::span(&whole, 1));
   io_span.end();
   auto container = Container::deserialize(bytes);
   // Corrupt (CRC/framing) is not an I/O error: nullptr, nothing cached.
@@ -378,9 +371,9 @@ std::optional<ContainerStore::ReadResult> FileContainerStore::try_partial_read(
   io_span.arg("cid", static_cast<std::uint64_t>(id));
   if (handle.size() < Container::kHeaderSize) return std::nullopt;
   std::array<std::uint8_t, Container::kHeaderSize> header{};
-  ExtentRead header_read{0, header.data(), header.size()};
+  const ExtentRead header_read{0, header.data(), header.size()};
   std::uint64_t physical =
-      read_extents(handle, id, std::span(&header_read, 1));
+      read_extents(handle.fd(), id, std::span(&header_read, 1));
   const auto info = Container::parse_header(header);
   // Legacy format, unknown magic, or a size that does not match the header
   // (truncation, header damage): let the slurp path render the verdict
@@ -389,8 +382,9 @@ std::optional<ContainerStore::ReadResult> FileContainerStore::try_partial_read(
   if (info->expected_file_size() != handle.size()) return std::nullopt;
 
   std::vector<std::uint8_t> footer(info->footer_size());
-  ExtentRead footer_read{info->footer_offset(), footer.data(), footer.size()};
-  physical += read_extents(handle, id, std::span(&footer_read, 1));
+  const ExtentRead footer_read{info->footer_offset(), footer.data(),
+                               footer.size()};
+  physical += read_extents(handle.fd(), id, std::span(&footer_read, 1));
   const auto parsed = Container::parse_footer(header, footer);
   if (!parsed) return std::nullopt;
 
@@ -430,9 +424,7 @@ std::optional<ContainerStore::ReadResult> FileContainerStore::try_partial_read(
 
   // Coalesce extents whose gap is at most one page: one seek amortized
   // beats re-reading a few KiB of unwanted bytes. All runs are planned
-  // first and issued as ONE backend batch — with io_uring, a 100-extent
-  // fragmented read is a couple of io_uring_enter calls instead of 100
-  // sequential preads, and runs complete in parallel.
+  // first, then read in offset order by one read_extents() call.
   constexpr std::uint64_t kCoalesceGap = 4096;
   struct Run {
     std::uint64_t begin = 0;   // data-region offset of the run
@@ -467,7 +459,7 @@ std::optional<ContainerStore::ReadResult> FileContainerStore::try_partial_read(
     extents.push_back({Container::kHeaderSize + run.begin,
                        arena.data() + run.arena, run_len});
   }
-  physical += read_extents(handle, id, extents);
+  physical += read_extents(handle.fd(), id, extents);
   for (const Run& run : runs) {
     for (std::size_t k = run.first; k < run.last; ++k) {
       const auto& [fp, entry] = wanted[k];
@@ -527,7 +519,8 @@ ContainerStore::ReadResult FileContainerStore::do_read_verified(
                               std::strerror(errno));
     }
     std::vector<std::uint8_t> bytes(static_cast<std::size_t>(st.st_size));
-    pread_exact(fd, bytes.data(), bytes.size(), 0, id);
+    const ExtentRead whole{0, bytes.data(), bytes.size()};
+    read_extents(fd, id, std::span(&whole, 1));
     ::close(fd);
     auto container = Container::deserialize(bytes);
     if (!container) return {};
@@ -549,7 +542,6 @@ bool FileContainerStore::do_erase(ContainerId id) {
   }
   fd_cache_.invalidate(id);
   block_cache_.invalidate(id);
-  io_->invalidate(static_cast<std::uint64_t>(id));
   std::error_code ec;
   std::filesystem::remove(path_for(id), ec);
   return !ec;

@@ -9,7 +9,8 @@
 //   * FileContainerStore — each container serialized to its own file under
 //     a directory; proves the format round-trips through a real filesystem
 //     and carries the container I/O fast path (footer-indexed partial
-//     reads, fd cache, sharded block cache — DESIGN.md §10).
+//     reads, fd cache, sharded block cache — DESIGN.md §10) over one
+//     blocking pread loop (DESIGN.md §13).
 #pragma once
 
 #include <atomic>
@@ -26,7 +27,6 @@
 #include "common/thread_annotations.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "storage/async_io.h"
 #include "storage/block_cache.h"
 #include "storage/container.h"
 #include "storage/fd_cache.h"
@@ -124,17 +124,18 @@ struct FileStoreTuning {
   // needed extents) instead of slurping the file. Format-2 containers and
   // any footer validation failure fall back to the slurp path either way.
   bool partial_reads = true;
-  // Async read backend for device reads (DESIGN.md §13): kAuto probes for
-  // io_uring and falls back to the thread-pool backend; kSync is the pre-PR
-  // sequential-pread behavior.
-  aio::Backend io_backend = aio::Backend::kAuto;
-  // In-flight ops per batch (uring SQ depth / pool width); 0 = default.
-  std::size_t io_depth = 0;
-  // Open container descriptors O_DIRECT and bounce through aligned buffers
-  // (FdCache::kDirectAlign): bypasses the page cache so the BlockCache is
-  // the only cache — measurement mode, off by default.
-  bool direct_io = false;
 };
+
+// Deterministic read-fault injection for tests (process-global, like
+// durable::CrashInjector). every_n == 0 disables that fault. A short read
+// truncates an extent's first pread to half its length; an EINTR fault
+// fails the first attempt with EINTR. The read loop must heal both.
+struct FaultPlan {
+  std::uint32_t short_read_every_n = 0;
+  std::uint32_t eintr_every_n = 0;
+};
+void set_fault_plan(const FaultPlan& plan) noexcept;
+void clear_fault_plan() noexcept;
 
 // Thread-safety contract: read(), read_chunks(), read_verified(), put(),
 // write(), erase(), reserve_id() and stats() are safe to call from multiple
@@ -312,10 +313,14 @@ class FileContainerStore final : public ContainerStore {
   [[nodiscard]] std::filesystem::path container_path(ContainerId id) const {
     return path_for(id);
   }
+  // Inverse of the container file naming: the ID of a file named exactly
+  // `container_<digits>.hdsc` with an ID > 0, nullopt for any other name
+  // (temp files, stray files).
+  [[nodiscard]] static std::optional<ContainerId> parse_file_name(
+      std::string_view name);
   bool forget(ContainerId id) {
     fd_cache_.invalidate(id);
     block_cache_.invalidate(id);
-    io_->invalidate(static_cast<std::uint64_t>(id));
     MutexLock lock(mu_);
     return known_.erase(id) > 0;
   }
@@ -339,23 +344,16 @@ class FileContainerStore final : public ContainerStore {
     std::uint64_t block_cache_bytes = 0;
     std::uint64_t partial_reads = 0;  // reads served via the footer index
     std::uint64_t read_errors = 0;    // ReadError caught at the boundary
-    // Async backend counters (aio::BackendStats, DESIGN.md §13).
-    std::uint64_t io_batches = 0;
-    std::uint64_t io_reads = 0;
-    std::uint64_t io_submits = 0;
-    std::uint64_t io_short_retries = 0;
-    std::uint64_t io_eintr_retries = 0;
-    std::uint64_t io_registered_files = 0;
+    // Resubmissions the read loop absorbed (DESIGN.md §13).
+    std::uint64_t short_retries = 0;  // continuation after a short read
+    std::uint64_t eintr_retries = 0;  // retry after EINTR/EAGAIN
   };
   [[nodiscard]] IoPathStats io_stats() const;
 
-  // The resolved read backend ("sync" | "threads" | "uring" — what kAuto
-  // actually picked, not what was asked for).
+  // The read path's name, kept for reports that label their numbers with
+  // it: always "sync" (one blocking pread loop).
   [[nodiscard]] std::string_view io_backend_name() const noexcept {
-    return io_->name();
-  }
-  [[nodiscard]] aio::Backend io_backend() const noexcept {
-    return io_->kind();
+    return "sync";
   }
 
  protected:
@@ -379,12 +377,11 @@ class FileContainerStore final : public ContainerStore {
     MutexLock lock(mu_);
     return known_.contains(id);
   }
-  // Executes `reads` as one backend batch through `handle` (bouncing via
-  // aligned scratch when the descriptor is O_DIRECT). Throws ReadError on
-  // any per-op failure or EOF inside a requested range; returns the bytes
-  // physically transferred (≥ requested in direct mode — alignment pad).
-  std::uint64_t read_extents(const FdCache::Handle& handle, ContainerId id,
-                             std::span<ExtentRead> reads);
+  // Reads every extent of `reads` from `fd` with blocking preads,
+  // retrying EINTR/EAGAIN and continuing short reads. Throws ReadError on
+  // any failure or EOF inside a requested range; returns the bytes read.
+  std::uint64_t read_extents(int fd, ContainerId id,
+                             std::span<const ExtentRead> reads);
   // Whole-file read through the fd cache; throws ReadError on I/O failure.
   ReadResult slurp(ContainerId id);
   // Footer-index partial read; nullopt when the file is not format 3 or the
@@ -394,16 +391,17 @@ class FileContainerStore final : public ContainerStore {
 
   std::filesystem::path dir_;
   FileStoreTuning tuning_;
-  // Guards only the index map; the caches and io backend synchronize
-  // internally and are never acquired with mu_ held (kStoreIndex < kFdCache
-  // < kBlockCacheShard documents the would-be order regardless).
+  // Guards only the index map; the caches synchronize internally and are
+  // never acquired with mu_ held (kStoreIndex < kFdCache < kBlockCacheShard
+  // documents the would-be order regardless).
   mutable Mutex mu_{lockrank::kStoreIndex};
   std::unordered_map<ContainerId, bool> known_ HDS_GUARDED_BY(mu_);
   FdCache fd_cache_;
   BlockCache block_cache_;
-  std::unique_ptr<aio::AsyncIoBackend> io_;
   std::atomic<std::uint64_t> partial_reads_{0};
   std::atomic<std::uint64_t> read_errors_{0};
+  std::atomic<std::uint64_t> short_retries_{0};
+  std::atomic<std::uint64_t> eintr_retries_{0};
 };
 
 }  // namespace hds

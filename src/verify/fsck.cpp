@@ -620,6 +620,24 @@ FsckCheck check_manifest_commit(const HiDeStore& sys,
   return out.take();
 }
 
+// The container files of an archival directory, sorted by ID. Only names
+// the store itself would index count; temp files and strays are skipped.
+// Empty when the directory is missing.
+std::vector<std::pair<ContainerId, std::filesystem::path>> container_files(
+    const std::filesystem::path& archival_dir) {
+  std::vector<std::pair<ContainerId, std::filesystem::path>> files;
+  std::error_code ec;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(archival_dir, ec)) {
+    if (!entry.is_regular_file()) continue;
+    const auto id = FileContainerStore::parse_file_name(
+        entry.path().filename().string());
+    if (id) files.emplace_back(*id, entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
 FsckCheck check_orphan_containers(const HiDeStore& sys,
                                   const FsckOptions& opt) {
   CheckBuilder out(Invariant::kOrphanContainers, opt.max_findings);
@@ -631,26 +649,9 @@ FsckCheck check_orphan_containers(const HiDeStore& sys,
   if (head == nullptr) return out.take();
 
   const auto& tags = sys.container_tags();
-  std::error_code ec;
-  const auto archival_dir = dir / "archival";
-  if (!std::filesystem::is_directory(archival_dir, ec)) return out.take();
-  std::vector<std::pair<ContainerId, std::string>> files;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(archival_dir, ec)) {
-    const auto name = entry.path().filename().string();
-    if (name.rfind("container_", 0) != 0 || !entry.is_regular_file()) {
-      continue;
-    }
-    // container_<id>.hdsc
-    const auto id_str = name.substr(10, name.size() - 10 - 5);
-    char* end = nullptr;
-    const long id = std::strtol(id_str.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || id <= 0) continue;
-    files.emplace_back(static_cast<ContainerId>(id), name);
-  }
-  std::sort(files.begin(), files.end());
-  for (const auto& [id, name] : files) {
+  for (const auto& [id, path] : container_files(dir / "archival")) {
     out.object();
+    const std::string name = path.filename().string();
     if (!tags.contains(id)) {
       out.fail(name,
                "archival container file carries no committed deletion tag "
@@ -674,27 +675,7 @@ FsckCheck check_footer_index(const HiDeStore& sys, const StoreView& view,
   CheckBuilder out(Invariant::kFooterIndex, opt.max_findings);
   const auto& dir = sys.config().storage_dir;
   if (dir.empty()) return out.take();
-  const auto archival_dir = dir / "archival";
-  std::error_code ec;
-  if (!std::filesystem::is_directory(archival_dir, ec)) return out.take();
-
-  std::vector<std::pair<ContainerId, std::filesystem::path>> files;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(archival_dir, ec)) {
-    const auto name = entry.path().filename().string();
-    if (name.rfind("container_", 0) != 0 || !entry.is_regular_file()) {
-      continue;
-    }
-    // container_<id>.hdsc
-    const auto id_str = name.substr(10, name.size() - 10 - 5);
-    char* end = nullptr;
-    const long id = std::strtol(id_str.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || id <= 0) continue;
-    files.emplace_back(static_cast<ContainerId>(id), entry.path());
-  }
-  std::sort(files.begin(), files.end());
-
-  for (const auto& [id, path] : files) {
+  for (const auto& [id, path] : container_files(dir / "archival")) {
     if (view.unreadable.contains(id)) continue;  // framing already reported
     out.object();
     const std::string name = path.filename().string();

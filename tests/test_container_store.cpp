@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -269,6 +270,43 @@ TEST(FileContainerStore, LegacyFormat2FileReadsViaSlurp) {
   ASSERT_TRUE(read.has_value());
   EXPECT_TRUE(std::equal(read->begin(), read->end(), data.begin()));
   EXPECT_EQ(store.io_stats().partial_reads, 0u);  // no footer index to use
+}
+
+TEST(FileContainerStore, ParsesOnlyCanonicalContainerFileNames) {
+  EXPECT_EQ(FileContainerStore::parse_file_name("container_1.hdsc"), 1);
+  EXPECT_EQ(FileContainerStore::parse_file_name("container_42.hdsc"), 42);
+  for (const char* stray :
+       {"container_12.tmp", "container_5", "container_.hdsc",
+        "container_0.hdsc", "container_-4.hdsc", "container_+4.hdsc",
+        "container_007.hdsc", "container_9x.hdsc", "container_4.hdsc.tmp",
+        "container_99999999999.hdsc", "xcontainer_4.hdsc", "state.hds"}) {
+    EXPECT_EQ(FileContainerStore::parse_file_name(stray), std::nullopt)
+        << stray;
+  }
+}
+
+TEST(FileContainerStore, StrayFilesAreNotIndexedAndKeepNextId) {
+  const auto dir = fresh_dir("hds_store_stray");
+  {
+    FileContainerStore store(dir);
+    ASSERT_EQ(store.write(make_container(21)), 1);
+    ASSERT_EQ(store.write(make_container(22)), 2);
+  }
+  // Names an older parser took for containers 1 and 5, plus high-numbered
+  // look-alikes that would have pushed the ID counter forward.
+  for (const char* stray :
+       {"container_12.tmp", "container_5", "container_900.hdsc.tmp",
+        "container_0900.hdsc", "container_77x.hdsc"}) {
+    std::ofstream(dir / stray) << "not a container";
+  }
+  FileContainerStore store(dir, /*index_existing=*/true);
+  auto ids = store.ids();
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, (std::vector<ContainerId>{1, 2}));
+  EXPECT_EQ(store.container_count(), 2u);
+  EXPECT_EQ(store.next_id(), 3);
+  EXPECT_NE(store.read(1), nullptr);
+  EXPECT_EQ(store.read(5), nullptr);
 }
 
 TEST(FileContainerStore, PersistsSerializedFormOnDisk) {

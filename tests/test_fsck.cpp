@@ -237,6 +237,27 @@ TEST(Fsck, CleanFileBackedStoreAfterReload) {
   EXPECT_TRUE(report.clean()) << report.to_text();
 }
 
+TEST(Fsck, StrayArchivalFilesAreNotTakenForContainers) {
+  TempDir dir("hds_fsck_stray");
+  HiDeStoreConfig config;
+  config.storage_dir = dir.path;
+  {
+    HiDeStore sys(config);
+    ingest(sys, 6);
+    sys.save(dir.path);
+  }
+  // Not container files: an older parser read "container_9999" as an
+  // untagged container 9999 (an orphan finding) and the temp file as
+  // container 1.
+  for (const char* stray : {"container_9999", "container_12.tmp"}) {
+    std::ofstream(dir.path / "archival" / stray) << "not a container";
+  }
+  auto sys = HiDeStore::load(dir.path);
+  ASSERT_NE(sys, nullptr);
+  const auto report = verify::run_fsck(*sys);
+  EXPECT_TRUE(report.clean()) << report.to_text();
+}
+
 TEST(Fsck, JsonReportIsWellFormedOnCleanStore) {
   HiDeStore sys;
   ingest(sys, 4);

@@ -121,9 +121,16 @@ TEST(FileBackedPipeline, RoundTripsThroughRealFiles) {
 
 // --- Property sweep: profile × system → exact restores ---
 
+constexpr const char* kSweepProfiles[] = {"kernel", "gcc", "fslhomes", "macos"};
+constexpr const char* kSweepSystems[] = {"hidestore", "ddfs",         "sparse",
+                                         "silo",      "silo+capping", "silo+fbw"};
+
+// Indices into the tables above rather than the names themselves: gtest
+// prints the parameter into each listed test name, and a pointer would put
+// the loader's randomised address there.
 struct SweepCase {
-  const char* profile;
-  const char* system;
+  std::size_t profile;
+  std::size_t system;
 };
 
 class SweepTest : public ::testing::TestWithParam<SweepCase> {
@@ -141,8 +148,9 @@ class SweepTest : public ::testing::TestWithParam<SweepCase> {
 };
 
 TEST_P(SweepTest, EveryVersionRestoresExactly) {
-  const auto param = GetParam();
-  const auto profile = profile_by_name(param.profile);
+  const std::string profile_name = kSweepProfiles[GetParam().profile];
+  const std::string name = kSweepSystems[GetParam().system];
+  const auto profile = profile_by_name(profile_name);
   VersionChainGenerator gen(profile);
   std::vector<VersionStream> versions;
   for (std::uint32_t v = 0; v < profile.versions; ++v) {
@@ -150,7 +158,6 @@ TEST_P(SweepTest, EveryVersionRestoresExactly) {
   }
 
   std::unique_ptr<BackupSystem> sys;
-  const std::string name = param.system;
   if (name == "hidestore") {
     HiDeStoreConfig config;
     config.cache_window = profile.skip_rate > 0 ? 2 : 1;
@@ -185,7 +192,7 @@ TEST_P(SweepTest, EveryVersionRestoresExactly) {
           ++at;
         });
     EXPECT_EQ(at, versions[v].chunks.size())
-        << param.system << "/" << param.profile << " v" << v + 1;
+        << name << "/" << profile_name << " v" << v + 1;
     EXPECT_TRUE(fps_ok);
     EXPECT_EQ(bytes_seen, versions[v].logical_bytes());
   }
@@ -193,9 +200,8 @@ TEST_P(SweepTest, EveryVersionRestoresExactly) {
 
 std::vector<SweepCase> sweep_cases() {
   std::vector<SweepCase> cases;
-  for (const char* profile : {"kernel", "gcc", "fslhomes", "macos"}) {
-    for (const char* system : {"hidestore", "ddfs", "sparse", "silo",
-                               "silo+capping", "silo+fbw"}) {
+  for (std::size_t profile = 0; profile < std::size(kSweepProfiles); ++profile) {
+    for (std::size_t system = 0; system < std::size(kSweepSystems); ++system) {
       cases.push_back({profile, system});
     }
   }
@@ -205,8 +211,9 @@ std::vector<SweepCase> sweep_cases() {
 INSTANTIATE_TEST_SUITE_P(ProfilesBySystems, SweepTest,
                          ::testing::ValuesIn(sweep_cases()),
                          [](const auto& suite_info) {
-                           std::string name = std::string(suite_info.param.profile) +
-                                              "_" + suite_info.param.system;
+                           std::string name =
+                               std::string(kSweepProfiles[suite_info.param.profile]) +
+                               "_" + kSweepSystems[suite_info.param.system];
                            for (auto& c : name) {
                              if (c == '+') c = '_';
                            }

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the container I/O fast path (DESIGN.md §10) and
-# the async read backends (§13): builds a 10-version hds_tool repository,
+# the restore read path (§13): builds a 10-version hds_tool repository,
 # restores every version once per leg —
-#   * fast path fully disabled (slurp-only, sync reads): the baseline,
-#   * 4 MiB block cache + partial reads (auto backend),
-#   * --io-backend=threads (portable async fallback),
-#   * --io-backend=uring (degrades to threads on kernels without io_uring),
+#   * fast path fully disabled (slurp-only): the baseline,
+#   * 4 MiB block cache + partial reads,
+#   * --threads=4 (read-ahead: 8-deep prefetch, 4 container reads in
+#     flight, no block cache),
 # and requires:
 #   * every restored version byte-identical across all legs,
 #   * the fast leg to report block-cache hits (io_block_cache_hits > 0),
@@ -25,8 +25,7 @@ work="$(mktemp -d)"
 trap 'rm -rf "${work}"' EXIT
 repo="${work}/repo"
 source="${work}/source"
-mkdir -p "${source}" "${work}/slow" "${work}/fast" \
-  "${work}/threads" "${work}/uring"
+mkdir -p "${source}" "${work}/slow" "${work}/fast" "${work}/threads"
 
 "${tool}" init "${repo}"
 
@@ -54,23 +53,19 @@ echo "io_smoke: fast restore-all (4 MiB block cache, partial reads)"
 "${tool}" restore "${repo}" all "${work}/fast/v" \
   --block-cache-mb=4 --metrics-out="${work}/metrics.json" > /dev/null
 
-echo "io_smoke: async restore-all (--io-backend=threads)"
+echo "io_smoke: read-ahead restore-all (--threads=4)"
 "${tool}" restore "${repo}" all "${work}/threads/v" \
-  --block-cache-mb=0 --io-backend=threads > /dev/null
-
-echo "io_smoke: async restore-all (--io-backend=uring)"
-"${tool}" restore "${repo}" all "${work}/uring/v" \
-  --block-cache-mb=0 --io-backend=uring > /dev/null
+  --block-cache-mb=0 --threads=4 > /dev/null
 
 for version in $(seq 1 10); do
-  for leg in fast threads uring; do
+  for leg in fast threads; do
     if ! cmp -s "${work}/slow/v${version}" "${work}/${leg}/v${version}"; then
       echo "io_smoke: restored v${version} differs (baseline vs ${leg})" >&2
       exit 1
     fi
   done
 done
-echo "io_smoke: all 10 versions byte-identical across 4 legs"
+echo "io_smoke: all 10 versions byte-identical across 3 legs"
 
 hits="$(grep -o '"io_block_cache_hits": *[0-9]*' "${work}/metrics.json" |
   grep -o '[0-9]*$')"
