@@ -48,4 +48,16 @@ BENCHMARK(BM_Chunker<ChunkerKind::kAe>)->Name("BM_Chunker/ae");
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// Custom main: stamp the binary's own build type into the result JSON so
+// tools/bench_gate.py can tell an -O2 run from a debug one (see
+// micro_io.cpp for the full rationale).
+int main(int argc, char** argv) {
+#ifdef HDS_BENCH_BUILD_TYPE
+  benchmark::AddCustomContext("build_type", HDS_BENCH_BUILD_TYPE);
+#endif
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -1,7 +1,9 @@
 // Micro-benchmarks: container and recipe operations — the storage layer's
-// per-container costs (fill, serialize, deserialize, store round trips).
+// per-container costs (fill, serialize, deserialize, store round trips) —
+// and the CRC-32 every stored, committed and restored byte passes through.
 #include <benchmark/benchmark.h>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "storage/container_store.h"
 #include "storage/recipe.h"
@@ -19,6 +21,20 @@ Container filled_container(std::size_t chunks = 1000) {
   }
   return c;
 }
+
+// The dispatched crc32(): PCLMUL folding where the CPU has it. 4 KiB is a
+// typical chunk, 1 MiB a container or state-file stretch.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)));
+  Xoshiro256ss rng(1);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(4 * 1024)->Arg(64 * 1024)->Arg(1024 * 1024);
 
 void BM_ContainerFill(benchmark::State& state) {
   std::vector<std::vector<std::uint8_t>> payloads;
@@ -93,4 +109,16 @@ BENCHMARK(BM_MemoryStoreRoundTrip);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// Custom main: stamp the binary's own build type into the result JSON so
+// tools/bench_gate.py can tell an -O2 run from a debug one (see
+// micro_io.cpp for the full rationale).
+int main(int argc, char** argv) {
+#ifdef HDS_BENCH_BUILD_TYPE
+  benchmark::AddCustomContext("build_type", HDS_BENCH_BUILD_TYPE);
+#endif
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -4,7 +4,9 @@
 // with SHA-1. Cryptographic strength is irrelevant here — what matters is a
 // uniformly distributed 160-bit identifier whose collision probability is far
 // below hardware error rates — so a clean, dependency-free implementation is
-// the right tool.
+// the right tool. Every ingested byte is hashed, so the block compression
+// dispatches once per process to the SHA-NI kernel where the CPU has it
+// (DESIGN.md §17).
 #pragma once
 
 #include <cstddef>
@@ -15,9 +17,35 @@
 
 namespace hds {
 
+// The block compression functions, callable explicitly so parity tests and
+// micro benchmarks can run each one. Each folds `blocks` consecutive 64-byte
+// blocks at `data` into the five-word chaining state.
+namespace sha1_kernels {
+
+using BlockFn = void (*)(std::uint32_t state[5], const std::uint8_t* data,
+                         std::size_t blocks) noexcept;
+
+// The reference: the FIPS 180-4 round function in portable C++.
+void scalar(std::uint32_t state[5], const std::uint8_t* data,
+            std::size_t blocks) noexcept;
+// The x86 SHA extensions. Requires shani_supported().
+void shani(std::uint32_t state[5], const std::uint8_t* data,
+           std::size_t blocks) noexcept;
+// True when the CPU executes shani(): x86 with SHA and SSE4.1.
+[[nodiscard]] bool shani_supported() noexcept;
+// shani where supported, scalar otherwise; decided on first call.
+[[nodiscard]] BlockFn best() noexcept;
+
+}  // namespace sha1_kernels
+
 class Sha1 {
  public:
-  Sha1() noexcept { reset(); }
+  Sha1() noexcept : Sha1(sha1_kernels::best()) {}
+  // Hashes with one specific kernel (parity tests, micro benchmarks).
+  explicit Sha1(sha1_kernels::BlockFn compress) noexcept
+      : compress_(compress) {
+    reset();
+  }
 
   void reset() noexcept;
   void update(std::span<const std::uint8_t> data) noexcept;
@@ -42,8 +70,7 @@ class Sha1 {
   }
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
-
+  sha1_kernels::BlockFn compress_;
   std::uint32_t h_[5]{};
   std::uint64_t total_len_ = 0;
   std::uint8_t buffer_[64]{};

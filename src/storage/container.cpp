@@ -1,5 +1,6 @@
 #include "storage/container.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 
@@ -141,19 +142,47 @@ void Container::compact() {
 }
 
 std::vector<std::uint8_t> Container::serialize() const {
+  // Live payload extents (offset, size) in offset order. Removed chunks
+  // leave holes in data_ until compact(); the image carries only the live
+  // bytes, so holes never reach disk and a reloaded container has its tail
+  // space back. Without holes the extents tile data_ and nothing moves.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> live;
+  live.reserve(entries_.size());
+  std::size_t live_bytes = 0;
+  for (const auto& [fp, entry] : entries_) {
+    if (entry.offset == kVirtualOffset) continue;
+    live.emplace_back(entry.offset, entry.size);
+    live_bytes += entry.size;
+  }
+  std::sort(live.begin(), live.end());
+
   std::vector<std::uint8_t> out;
-  out.reserve(kHeaderSize + data_.size() + entries_.size() * kEntrySize +
+  out.reserve(kHeaderSize + live_bytes + entries_.size() * kEntrySize +
               kTrailerSize);
   put_u32(out, kMagicV3);
   put_u32(out, static_cast<std::uint32_t>(id_));
   put_u32(out, static_cast<std::uint32_t>(capacity_));
   put_u32(out, static_cast<std::uint32_t>(entries_.size()));
-  put_u32(out, static_cast<std::uint32_t>(data_.size()));
-  out.insert(out.end(), data_.begin(), data_.end());
+  put_u32(out, static_cast<std::uint32_t>(live_bytes));
+  // packed[i] is live[i]'s offset in the image. An empty chunk shares its
+  // successor's offset, and lower_bound maps both to the same place.
+  std::vector<std::uint32_t> packed;
+  packed.reserve(live.size());
+  for (const auto& [offset, size] : live) {
+    packed.push_back(static_cast<std::uint32_t>(out.size() - kHeaderSize));
+    out.insert(out.end(), data_.begin() + offset,
+               data_.begin() + offset + size);
+  }
+  const auto packed_offset = [&](std::uint32_t offset) {
+    if (offset == kVirtualOffset) return offset;
+    const auto it = std::lower_bound(live.begin(), live.end(),
+                                     std::pair{offset, std::uint32_t{0}});
+    return packed[static_cast<std::size_t>(it - live.begin())];
+  };
   const std::size_t table_at = out.size();
   for (const auto& [fp, entry] : entries_) {
     out.insert(out.end(), fp.bytes.begin(), fp.bytes.end());
-    put_u32(out, entry.offset);
+    put_u32(out, packed_offset(entry.offset));
     put_u32(out, entry.size);
     put_u32(out, entry.crc);
   }

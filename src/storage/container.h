@@ -183,7 +183,10 @@ class Container {
                std::span<const std::uint8_t> footer_bytes);
 
   // Binary serialization (format 3, see layout above). Round-trips through
-  // deserialize().
+  // deserialize(). Writes only live payload bytes, in offset order, with
+  // the table's offsets rewritten to match: holes left by remove() are not
+  // serialized, so the deserialized container's data_size() drops by them.
+  // A container that never lost a chunk serializes its data region as is.
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
   // Format-2 image (entry table before the data, no footer index) — kept so
   // compatibility tests can produce legacy containers.

@@ -2,8 +2,12 @@
 // content generation, measurement helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
 #include <set>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/chunk.h"
 #include "common/crc32.h"
@@ -99,12 +103,212 @@ TEST(Crc32, DetectsSingleBitFlip) {
 TEST(Crc32, SeedChaining) {
   const std::string msg = "hello world";
   const auto whole = crc32(msg.data(), msg.size());
-  // Chaining with a seed is not plain concatenation, but it must be
-  // deterministic and differ from the unseeded value.
+  // A seed continues an earlier CRC (Crc32Parity.SeedChainingEquals-
+  // Concatenation); it must be deterministic and differ from no seed.
   const auto seeded = crc32(msg.data(), msg.size(), 12345);
   EXPECT_NE(whole, seeded);
   EXPECT_EQ(seeded, crc32(msg.data(), msg.size(), 12345));
 }
+
+// --- Kernel parity against the scalar references ---
+//
+// Each CRC-32 and SHA-1 kernel is called explicitly and compared with the
+// scalar reference (crc32_kernels::bytewise, sha1_kernels::scalar). A
+// kernel the CPU cannot execute is skipped, naming the missing feature.
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::vector<std::uint8_t> out(n);
+  Xoshiro256ss rng(seed);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
+  return out;
+}
+
+struct CrcKernel {
+  const char* name;
+  std::uint32_t (*fn)(std::span<const std::uint8_t>, std::uint32_t);
+  bool (*supported)();
+  const char* requires_feature;
+};
+void PrintTo(const CrcKernel& kernel, std::ostream* os) {
+  *os << kernel.name;
+}
+
+bool always_supported() { return true; }
+
+template <typename Kernel>
+std::string kernel_name(const ::testing::TestParamInfo<Kernel>& param) {
+  return param.param.name;
+}
+
+std::uint32_t dispatched_crc32(std::span<const std::uint8_t> data,
+                               std::uint32_t seed) {
+  return crc32(data, seed);
+}
+
+class Crc32Parity : public ::testing::TestWithParam<CrcKernel> {
+ protected:
+  void SetUp() override {
+    if (!GetParam().supported()) {
+      GTEST_SKIP() << "CPU lacks " << GetParam().requires_feature;
+    }
+  }
+  static std::uint32_t kernel(std::span<const std::uint8_t> data,
+                              std::uint32_t seed = 0) {
+    return GetParam().fn(data, seed);
+  }
+};
+
+TEST_P(Crc32Parity, EveryLengthTo4096AtEveryOffset) {
+  const auto buf = random_bytes(4096 + 64, 21);
+  for (std::size_t offset = 0; offset < 64; ++offset) {
+    // The reference advances one byte per length by seed chaining.
+    std::uint32_t expect = 0;
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      ASSERT_EQ(kernel(std::span(buf.data() + offset, len)), expect)
+          << "offset " << offset << " length " << len;
+      expect = crc32_kernels::bytewise(
+          std::span(buf.data() + offset + len, 1), expect);
+    }
+  }
+}
+
+TEST_P(Crc32Parity, RandomLengthsToOneMiB) {
+  const auto buf = random_bytes((1u << 20) + 64, 22);
+  Xoshiro256ss rng(23);
+  for (int i = 0; i < 40; ++i) {
+    const std::size_t offset = rng.next() % 64;
+    const std::size_t len = rng.next() % ((1u << 20) + 1);
+    const std::span data(buf.data() + offset, len);
+    ASSERT_EQ(kernel(data), crc32_kernels::bytewise(data, 0))
+        << "offset " << offset << " length " << len;
+  }
+}
+
+TEST_P(Crc32Parity, SeedChainingEqualsConcatenation) {
+  const auto buf = random_bytes(256 * 1024, 24);
+  Xoshiro256ss rng(25);
+  for (int i = 0; i < 50; ++i) {
+    const std::size_t len = rng.next() % (buf.size() + 1);
+    const std::size_t split = rng.next() % (len + 1);
+    const std::span whole(buf.data(), len);
+    ASSERT_EQ(kernel(whole.subspan(split), kernel(whole.first(split))),
+              crc32_kernels::bytewise(whole, 0))
+        << "length " << len << " split " << split;
+    const auto seed = static_cast<std::uint32_t>(rng.next());
+    ASSERT_EQ(kernel(whole, seed), crc32_kernels::bytewise(whole, seed));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Crc32Parity,
+    ::testing::Values(
+        CrcKernel{"Slice8", &crc32_kernels::slice8, &always_supported, ""},
+        CrcKernel{"Pclmul", &crc32_kernels::pclmul,
+                  &crc32_kernels::pclmul_supported, "PCLMULQDQ/SSE4.1"},
+        CrcKernel{"Dispatched", &dispatched_crc32, &always_supported, ""}),
+    kernel_name<CrcKernel>);
+
+struct Sha1Kernel {
+  const char* name;
+  sha1_kernels::BlockFn fn;
+  bool (*supported)();
+  const char* requires_feature;
+};
+void PrintTo(const Sha1Kernel& kernel, std::ostream* os) {
+  *os << kernel.name;
+}
+
+// The incremental reference: the scalar kernel behind the Sha1 framing.
+Fingerprint sha1_reference(std::span<const std::uint8_t> data) {
+  Sha1 h(&sha1_kernels::scalar);
+  h.update(data);
+  return h.finish();
+}
+
+class Sha1Parity : public ::testing::TestWithParam<Sha1Kernel> {
+ protected:
+  void SetUp() override {
+    if (!GetParam().supported()) {
+      GTEST_SKIP() << "CPU lacks " << GetParam().requires_feature;
+    }
+  }
+  static Fingerprint digest(std::span<const std::uint8_t> data) {
+    Sha1 h(GetParam().fn);
+    h.update(data);
+    return h.finish();
+  }
+};
+
+TEST_P(Sha1Parity, EveryLengthTo4096) {
+  const auto buf = random_bytes(4096 + 64, 31);
+  for (std::size_t len = 0; len <= 4096; ++len) {
+    const std::span data(buf.data() + len % 64, len);
+    ASSERT_EQ(digest(data), sha1_reference(data)) << "length " << len;
+  }
+}
+
+TEST_P(Sha1Parity, EveryStartOffset) {
+  const auto buf = random_bytes(1024 + 64, 32);
+  for (std::size_t offset = 0; offset < 64; ++offset) {
+    for (const std::size_t len : {55, 56, 63, 64, 65, 119, 120, 1024}) {
+      const std::span data(buf.data() + offset, len);
+      ASSERT_EQ(digest(data), sha1_reference(data))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST_P(Sha1Parity, RandomLengthsToOneMiB) {
+  const auto buf = random_bytes((1u << 20) + 64, 33);
+  Xoshiro256ss rng(34);
+  for (int i = 0; i < 12; ++i) {
+    const std::size_t offset = rng.next() % 64;
+    const std::size_t len = rng.next() % ((1u << 20) + 1);
+    const std::span data(buf.data() + offset, len);
+    ASSERT_EQ(digest(data), sha1_reference(data))
+        << "offset " << offset << " length " << len;
+  }
+}
+
+TEST_P(Sha1Parity, UpdatesSplitAtRandomPoints) {
+  const auto buf = random_bytes(64 * 1024, 35);
+  Xoshiro256ss rng(36);
+  for (int i = 0; i < 50; ++i) {
+    const std::size_t len = rng.next() % (buf.size() + 1);
+    const std::span data(buf.data(), len);
+    Sha1 h(GetParam().fn);
+    std::size_t pos = 0;
+    while (pos < len) {
+      const std::size_t step = std::min<std::size_t>(
+          len - pos, rng.next() % (rng.next() % 2 ? 200 : 5000));
+      h.update(data.subspan(pos, step));
+      pos += step;
+    }
+    ASSERT_EQ(h.finish(), sha1_reference(data)) << "length " << len;
+  }
+}
+
+TEST_P(Sha1Parity, KnownVectors) {
+  const std::string two_block =
+      "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
+  const auto as_span = [](const std::string& s) {
+    return std::span(reinterpret_cast<const std::uint8_t*>(s.data()),
+                     s.size());
+  };
+  EXPECT_EQ(digest({}).hex(), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
+  EXPECT_EQ(digest(as_span(two_block)).hex(),
+            "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Sha1Parity,
+    ::testing::Values(
+        Sha1Kernel{"Scalar", &sha1_kernels::scalar, &always_supported, ""},
+        Sha1Kernel{"ShaNi", &sha1_kernels::shani,
+                   &sha1_kernels::shani_supported, "SHA-NI/SSE4.1"},
+        Sha1Kernel{"Dispatched", sha1_kernels::best(), &always_supported,
+                   ""}),
+    kernel_name<Sha1Kernel>);
 
 // --- Fingerprint ---
 

@@ -3,6 +3,11 @@
 // utilization accounting, and serialization with corruption detection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
+#include "common/byte_io.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "storage/container.h"
 
@@ -274,6 +279,114 @@ TEST(Container, LegacyFormat2StillDeserializes) {
     EXPECT_TRUE(std::equal(read->begin(), read->end(), expect.begin()));
   }
   EXPECT_EQ(back->read(Fingerprint::from_seed(50))->size(), 2000u);
+}
+
+TEST(Container, RemovedChunksSerializeToLiveBytesOnly) {
+  Container c(8, 64 * 1024);
+  std::map<Fingerprint, std::uint64_t> seed_of;
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE(c.add(Fingerprint::from_seed(i), bytes_of(i, 1000 + i * 37)));
+    seed_of[Fingerprint::from_seed(i)] = i;
+  }
+  ASSERT_TRUE(c.add_meta(Fingerprint::from_seed(99), 500));
+  std::size_t live = 0;
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    if (i == 0 || i == 3 || i == 4 || i == 9) {
+      ASSERT_TRUE(c.remove(Fingerprint::from_seed(i)));
+    } else {
+      live += 1000 + i * 37;
+    }
+  }
+  ASSERT_GT(c.data_size(), live + 500);  // the holes are still in memory
+
+  const auto blob = c.serialize();
+  EXPECT_EQ(blob.size(), Container::kHeaderSize + live +
+                             7 * Container::kEntrySize +
+                             Container::kTrailerSize);
+  const auto header = std::span(blob).first(Container::kHeaderSize);
+  const auto info = Container::parse_header(header);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->data_size, live);
+  EXPECT_EQ(info->expected_file_size(), blob.size());
+
+  // The footer's extents tile the data region exactly, in offset order,
+  // and each holds its chunk's bytes.
+  const auto entries = Container::parse_footer(
+      header, std::span(blob).subspan(
+                  static_cast<std::size_t>(info->footer_offset()),
+                  static_cast<std::size_t>(info->footer_size())));
+  ASSERT_TRUE(entries.has_value());
+  ASSERT_EQ(entries->size(), 7u);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> extents;
+  for (const auto& [fp, entry] : *entries) {
+    if (entry.offset == Container::kVirtualOffset) {
+      EXPECT_EQ(fp, Fingerprint::from_seed(99));
+      continue;
+    }
+    const auto payload =
+        std::span(blob).subspan(Container::kHeaderSize + entry.offset,
+                                entry.size);
+    const auto expect = bytes_of(seed_of.at(fp), entry.size);
+    EXPECT_TRUE(std::equal(payload.begin(), payload.end(), expect.begin()));
+    EXPECT_EQ(crc32(payload), entry.crc);
+    extents.emplace_back(entry.offset, entry.size);
+  }
+  std::sort(extents.begin(), extents.end());
+  std::uint32_t end = 0;
+  for (const auto& [offset, size] : extents) {
+    EXPECT_EQ(offset, end);
+    end = offset + size;
+  }
+  EXPECT_EQ(end, live);
+
+  const auto back = Container::deserialize(blob);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->chunk_count(), 7u);
+  EXPECT_EQ(back->used_bytes(), c.used_bytes());
+  EXPECT_EQ(back->data_size(), live + 500);  // reloaded without the holes
+  for (const auto& [fp, seed] : seed_of) {
+    const auto read = back->read(fp);
+    ASSERT_EQ(read.has_value(), c.contains(fp));
+    if (!read) continue;
+    const auto expect = bytes_of(seed, read->size());
+    EXPECT_TRUE(std::equal(read->begin(), read->end(), expect.begin()));
+  }
+}
+
+TEST(Container, NeverShrunkSerializesInUnpackedLayout) {
+  // A container that lost no chunk serializes exactly as format 3 always
+  // has: the whole data region in add order, then the table in entries()
+  // order with the add-time offsets. Archival containers never shrink, so
+  // their files are unchanged by live-only serialization.
+  Container c(3, 64 * 1024);
+  std::vector<std::uint8_t> data;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    const auto bytes = bytes_of(i, 300 + i * 91);
+    ASSERT_TRUE(c.add(Fingerprint::from_seed(i), bytes));
+    data.insert(data.end(), bytes.begin(), bytes.end());
+  }
+  ASSERT_TRUE(c.add_meta(Fingerprint::from_seed(42), 777));
+
+  ByteWriter expect;
+  expect.u32(0x48445346);  // "HDSF"
+  expect.u32(3);
+  expect.u32(64 * 1024);
+  expect.u32(9);
+  expect.u32(static_cast<std::uint32_t>(data.size()));
+  expect.raw(data);
+  const std::size_t table_at = expect.bytes().size();
+  for (const auto& [fp, entry] : c.entries()) {
+    expect.raw(fp.bytes);
+    expect.u32(entry.offset);
+    expect.u32(entry.size);
+    expect.u32(entry.crc);
+  }
+  const auto& image = expect.bytes();
+  expect.u32(crc32_kernels::bytewise(
+      std::span(image).subspan(table_at),
+      crc32_kernels::bytewise(std::span(image).first(20), 0)));
+  expect.u32(crc32_kernels::bytewise(expect.bytes(), 0));
+  EXPECT_EQ(c.serialize(), expect.bytes());
 }
 
 }  // namespace

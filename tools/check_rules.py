@@ -20,6 +20,12 @@ Rules (see README "Static analysis" and DESIGN.md §14):
                  smart pointer in the same statement (make_unique /
                  make_shared, or unique_ptr(new T(...)) when the
                  constructor is private).
+  isa-dispatch   No __builtin_cpu_supports / __builtin_cpu_init and no
+                 target attribute (__attribute__((target(...))),
+                 [[gnu::target(...)]]) outside src/common/ (src/, tests/,
+                 bench/, examples/). CPU-feature dispatch is decided once,
+                 next to the scalar reference kernels it falls back to
+                 (DESIGN.md §17); other code calls crc32() and Sha1.
   bench-date     Every bench/baselines/*.json must parse and carry a
                  non-empty context.date — an undated baseline cannot be
                  judged stale.
@@ -46,10 +52,16 @@ RAW_MUTEX_RE = re.compile(
 )
 DETACH_RE = re.compile(r"\.\s*detach\s*\(\s*\)")
 NEW_RE = re.compile(r"\bnew\b")
+ISA_DISPATCH_RE = re.compile(
+    r"__builtin_cpu_(?:supports|init)\b"
+    r"|__attribute__\s*\(\s*\((?:[^()]*,)?\s*target\b"
+    r"|\bgnu::target\b"
+)
 SMART_OWNER_RE = re.compile(r"unique_ptr\s*<|shared_ptr\s*<|make_unique|make_shared")
 
 RAW_WRITE_ALLOWED = {Path("src/storage/durable.cpp")}
 RAW_MUTEX_ALLOWED = {Path("src/common/thread_annotations.h")}
+ISA_DISPATCH_DIR = Path("src/common")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -174,6 +186,15 @@ def check_tree(root: Path) -> list[dict]:
                 "no-detach",
                 "thread detach() — join every thread you start",
             )
+        if ISA_DISPATCH_DIR not in path.relative_to(root).parents:
+            for m in ISA_DISPATCH_RE.finditer(text):
+                add(
+                    path,
+                    line_of(text, m.start()),
+                    "isa-dispatch",
+                    f"'{m.group(0)}' outside src/common/ — CPU-feature "
+                    "dispatch lives beside the kernels in src/common/",
+                )
 
     baselines = root / "bench" / "baselines"
     if baselines.is_dir():

@@ -123,6 +123,40 @@ class CheckRulesTest(unittest.TestCase):
         self.assertEqual(len(finds), 1)
         self.assertEqual(finds[0]["path"], "src/core/leak.cpp")
 
+    def test_isa_dispatch_confined_to_common(self):
+        self.tree.write(
+            "src/chunking/fast.cpp",
+            "bool f() { return __builtin_cpu_supports(\"avx2\"); }\n"
+            "__attribute__((target(\"avx2\"))) void g() {}\n",
+        )
+        self.tree.write(
+            "bench/fast.cpp",
+            "[[gnu::target(\"sha\")]] void h() {}\n"
+            "__attribute__((noinline, target(\"sse4.1\"))) void k() {}\n",
+        )
+        self.tree.write(
+            "src/common/crc32.cpp",
+            "bool p() { __builtin_cpu_init();\n"
+            "  return __builtin_cpu_supports(\"pclmul\"); }\n"
+            "__attribute__((target(\"pclmul\"))) void q() {}\n",
+        )
+        self.tree.write(
+            "src/core/ok.cpp",
+            "// __builtin_cpu_supports is for src/common only\n"
+            "__attribute__((noinline)) void r() {}\n"
+            "int target = 0;\n",
+        )
+        finds = [f for f in self.tree.findings() if f["rule"] == "isa-dispatch"]
+        self.assertEqual(
+            sorted((f["path"], f["line"]) for f in finds),
+            [
+                ("bench/fast.cpp", 1),
+                ("bench/fast.cpp", 2),
+                ("src/chunking/fast.cpp", 1),
+                ("src/chunking/fast.cpp", 2),
+            ],
+        )
+
     def test_bench_baseline_date(self):
         self.tree.write(
             "bench/baselines/BENCH_ok.json",
